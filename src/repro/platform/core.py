@@ -127,8 +127,8 @@ class Core:
             core_type if core_type is not None else CORE_TYPES[DEFAULT_CORE_TYPE]
         )
         #: Index into the owning chip's first-occurrence type catalog;
-        #: the chip assigns it, and the power meter / batch SoA arrays
-        #: use it to pick per-type cache rows without hashing names.
+        #: the chip assigns it, and the power meter uses it to pick
+        #: per-type cache rows without hashing names.
         self.type_index: int = 0
         self._state = CoreState.IDLE
         self._level = level

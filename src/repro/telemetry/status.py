@@ -90,9 +90,9 @@ class CampaignStatusWriter:
         """Count ``n`` points as completed in this invocation."""
         self.done_this_run += n
 
-    def note_quarantine(self, n: int = 1) -> None:
-        """Count ``n`` points as quarantined in this invocation."""
-        self.quarantined += n
+    def note_quarantine(self) -> None:
+        """Count one point as quarantined in this invocation."""
+        self.quarantined += 1
 
     def note_worker(self, blob: Optional[Dict[str, object]]) -> None:
         """Record a heartbeat from the worker that produced ``blob``."""

@@ -13,6 +13,8 @@ test at the bottom fails when those pages lag the code.
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,7 +23,6 @@ import repro
 PACKAGES = [
     "repro",
     "repro.aging",
-    "repro.batch",
     "repro.cache",
     "repro.campaign",
     "repro.core",
@@ -83,6 +84,28 @@ def test_submodules_not_exported_accidentally():
         assert not isinstance(value, types.ModuleType), symbol
 
 
+def test_orchestration_layers_import_without_numpy():
+    """Only ``repro.dse`` needs numpy; sweeps, campaigns, serving and
+    the CLI must import on a bare interpreter."""
+    code = (
+        "import sys\n"
+        "import repro.experiments, repro.campaign, repro.serve, repro.cli\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_module_importable():
     from repro.cli import build_parser
 
@@ -105,6 +128,13 @@ def test_api_reference_not_stale():
     assert problems == [], (
         "regenerate with `PYTHONPATH=src python benchmarks/gen_api_docs.py`"
     )
+
+
+def test_api_reference_embeds_no_checkout_path():
+    """Rendered pages must not depend on where the repo is checked out."""
+    gen = _load_script("gen_api_docs")
+    for filename, content in gen.render_all().items():
+        assert "from '/" not in content, filename
 
 
 def test_docstring_lint_clean():
