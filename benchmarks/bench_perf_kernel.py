@@ -20,8 +20,10 @@ must produce the identical digest as the serial run.
 The observability layer (``repro.obs``) rides the same gate: the sweep
 is re-run with the default journal + phase profiler installed (plus a
 debug-level digest cross-check), the rows must stay byte-identical,
-and the wall overhead is reported (gated at a 10% tripwire only under
-``--strict``; single-pair ratios are noise-dominated).
+and the wall overhead is reported as the median of ``--obs-pairs``
+(default 3) alternating pairs with its min-max spread (gated at a 10%
+tripwire only under ``--strict``; single-pair ratios are
+noise-dominated).
 ``--obs-artifacts DIR`` dumps a sample journal and profile summary
 for CI artifact upload.
 
@@ -152,6 +154,7 @@ def obs_overhead(horizon_us: float, pairs: int = 3) -> dict:
         # deflates one, so min(ratios) converges from above as pairs
         # are added while the median stays noise-dominated.
         "best_pct": (ratios[0] - 1.0) * 100.0,
+        "worst_pct": (ratios[-1] - 1.0) * 100.0,
         "ratios": ratios,
         "journal_events": len(journal) if journal is not None else 0,
         "debug_events": len(debug_journal),
@@ -213,8 +216,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--obs-pairs",
         type=int,
-        default=1,
-        help="(obs-off, obs-on) sweep pairs for the overhead median (default 1)",
+        default=3,
+        help="(obs-off, obs-on) sweep pairs for the overhead median (default 3)",
     )
     parser.add_argument(
         "--obs-artifacts",
@@ -222,6 +225,8 @@ def main(argv=None) -> int:
         help="write a sample journal (JSONL) and profile summary (JSON) to DIR",
     )
     args = parser.parse_args(argv)
+    if args.obs_pairs < 1:
+        parser.error(f"--obs-pairs must be >= 1, got {args.obs_pairs}")
 
     print(f"E2 sweep: 8x8 mesh, {args.horizon_us / 1000:g} ms, seeds {SEEDS}")
     results, wall = run_e2_sweep(args.horizon_us)
@@ -295,8 +300,8 @@ def main(argv=None) -> int:
     obs = obs_overhead(args.horizon_us, pairs=obs_pairs)
     print(
         f"obs enabled: digest match={obs['digest_match']}, "
-        f"overhead {obs['overhead_pct']:+.1f}% median / {obs['best_pct']:+.1f}% best "
-        f"(pair ratios {', '.join(f'{r:.3f}' for r in obs['ratios'])}), "
+        f"overhead {obs['overhead_pct']:+.1f}% median of {obs_pairs} pairs "
+        f"(spread {obs['best_pct']:+.1f}% .. {obs['worst_pct']:+.1f}%), "
         f"{obs['journal_events']} journal events "
         f"({obs['debug_events']} at debug level)"
     )

@@ -222,9 +222,12 @@ class SimulationResult:
 
 #: Memoized arrival traces keyed by the workload-defining config fields
 #: (see :meth:`ManycoreSystem.generate_arrivals`).  Bounded FIFO so long
-#: sweeps over workload knobs cannot grow it without limit.
+#: sweeps over workload knobs cannot grow it without limit.  Callers
+#: reuse a trace only across nearby points that share a seed (a few
+#: policies of one seed), so a small cap keeps every hit; a full memo
+#: of 64 would hold ~29 MB at a 10 ms horizon in every reused worker.
 _ARRIVAL_TRACES: Dict[tuple, List[Arrival]] = {}
-_ARRIVAL_TRACES_MAX = 64
+_ARRIVAL_TRACES_MAX = 8
 
 
 class ManycoreSystem:

@@ -31,19 +31,50 @@ originals, so a warm sweep is byte-identical to a cold one.  When a
 process-wide journal/profiler is active the whole call is *bypassed*
 (counted per config on the cache's stats): a cached result cannot
 carry the observability stream of the run it skipped.
+
+**The worker pool.**  Pooled calls share one process-wide
+:class:`~concurrent.futures.ProcessPoolExecutor` (fork context), built
+lazily by the first pooled call rather than at import and reused by
+every later one, so a sweep of many small calls pays for forking its
+workers once instead of per call.  The pool is keyed on ``(pid, jobs,
+registry generation)`` and rebuilt when the key changes: a different
+``jobs``, a core type or technology model registered since the workers
+were forked (:func:`~repro.platform.coretypes.register_core_type` and
+:func:`~repro.platform.techmodel.register_tech_model` bump the
+generation, so a late registration is never missing in a worker), or a
+forked child calling ``run_many`` itself.  A pool that breaks (a worker
+died) is dropped and the call raises as before; the next call builds a
+fresh one.  Workers start with the journal, profiler and telemetry
+sinks off, whatever the parent had active when they were forked.  The
+pool is shut down at interpreter exit.
+
+A reused worker lives for the whole sweep, so the per-process memos it
+fills must stay bounded: the arrival-trace memo
+(:data:`repro.core.system._ARRIVAL_TRACES`) is a small FIFO, and the
+dynamic-power memo (:func:`repro.platform.techmodel.cached_model_dynamic`)
+stores unit-activity values only, so neither grows with the number of
+points a worker has run.
 """
 
 from __future__ import annotations
 
+import atexit
+import multiprocessing
+import os
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable, List, Optional
 
+from repro import obs
 from repro.core.system import SimulationResult, SystemConfig, run_system
 from repro.obs.provenance import config_digest
+from repro.platform import coretypes
 from repro.telemetry import (
     TelemetrySession,
     active_telemetry,
+    configure_telemetry,
     worker_telemetry,
 )
 from repro.telemetry.spans import SpanContext
@@ -59,6 +90,86 @@ class RunFailed(RuntimeError):
         self.index = index
         self.digest = digest
         self.error = error
+
+
+#: The process-wide worker pool and the ``(pid, jobs, registry
+#: generation)`` key it was built for; guarded by ``_POOL_LOCK``.
+_POOL: Optional[ProcessPoolExecutor] = None
+_POOL_KEY: Optional[tuple] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _init_worker() -> None:
+    """Pool initializer: start every worker with observability off.
+
+    A reused worker must not keep emitting into sinks that happened to
+    be active in the parent when it was forked.
+    """
+    obs.configure()
+    configure_telemetry()
+
+
+def _drop_pool_locked(wait: bool) -> None:
+    """Forget the pool; shut it down if this process owns it.
+
+    The caller holds ``_POOL_LOCK``.  A forked child inherits the
+    parent's pool object but not its workers or threads, so it only
+    drops the reference.  Without ``wait`` the pool is being abandoned
+    (broken or interrupted), so its queued work is cancelled too.
+    """
+    global _POOL, _POOL_KEY
+    if _POOL is not None and _POOL_KEY[0] == os.getpid():
+        _POOL.shutdown(wait=wait, cancel_futures=not wait)
+    _POOL = _POOL_KEY = None
+
+
+def _map_on_pool(jobs: int, payloads: list):
+    """Submit ``payloads`` to the shared pool, (re)building it on demand.
+
+    Returns ``(pool, results iterator)``.  Submission happens under the
+    lock, so a concurrent call that rebuilds the pool for another key
+    shuts the old one down only after it has accepted this call's work,
+    and waits for that work to finish.
+    """
+    global _POOL, _POOL_KEY
+    key = (os.getpid(), jobs, coretypes._registry_generation)
+    with _POOL_LOCK:
+        if _POOL_KEY != key:
+            _drop_pool_locked(wait=True)
+            _POOL = ProcessPoolExecutor(
+                max_workers=jobs,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+            )
+            _POOL_KEY = key
+        try:
+            return _POOL, _POOL.map(_run_one, payloads)
+        except BrokenProcessPool:
+            _drop_pool_locked(wait=False)
+            raise
+
+
+def _discard_pool(pool: ProcessPoolExecutor) -> None:
+    """Drop ``pool`` (broken or interrupted) so the next call rebuilds."""
+    with _POOL_LOCK:
+        if _POOL is pool:
+            _drop_pool_locked(wait=False)
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    with _POOL_LOCK:
+        _drop_pool_locked(wait=True)
+
+
+def _fresh_lock_in_child() -> None:
+    # Pool workers are forked while the parent holds the lock; without
+    # a fresh one a forked child's first pooled call would deadlock.
+    global _POOL_LOCK
+    _POOL_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 
 def _run_one(payload):
@@ -141,13 +252,16 @@ def _run_indexed(
             if scope is not None and on_blob is not None:
                 on_blob(scope.blob())
         return results
-    workers = min(jobs, len(indices))
     payloads = [
         (index, config_list[index]) + ((ctx,) if ctx is not None else ())
         for index in indices
     ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(_run_one, payloads))
+    pool, results = _map_on_pool(jobs, payloads)
+    try:
+        outcomes = list(results)
+    except (BrokenProcessPool, KeyboardInterrupt):
+        _discard_pool(pool)
+        raise
     for outcome in outcomes:
         if outcome[0] == "err":
             raise RunFailed(outcome[1], outcome[2], outcome[3])

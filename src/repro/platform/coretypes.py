@@ -122,6 +122,17 @@ CORE_TYPES: Dict[str, CoreType] = {
 #: Name of the degenerate identity type.
 DEFAULT_CORE_TYPE = "std"
 
+#: Count of registrations into this catalog and the technology-model
+#: registry.  A persistent worker pool compares it with the value its
+#: workers were forked at, so an entry registered later is never
+#: missing in a worker.
+_registry_generation = 0
+
+
+def _note_registration() -> None:
+    global _registry_generation
+    _registry_generation += 1
+
 
 def get_core_type(name: str) -> CoreType:
     """Look up a core type by name (e.g. ``"o3"``)."""
@@ -145,6 +156,7 @@ def register_core_type(ctype: CoreType, overwrite: bool = False) -> CoreType:
     if ctype.name in CORE_TYPES and not overwrite:
         raise ValueError(f"core type {ctype.name!r} already registered")
     CORE_TYPES[ctype.name] = ctype
+    _note_registration()
     return ctype
 
 

@@ -20,7 +20,10 @@ node's result by exactly 1.0, which IEEE-754 guarantees is the identity
 floats (and result digests) on homogeneous-``std`` configs.  The memo
 caches below mirror :func:`~repro.platform.technology.cached_dynamic_power`:
 one flat dict per (node, model, type) triple, hung off the node instance,
-keyed by the remaining float arguments.
+keyed by the remaining float arguments.  Activities are not a small set:
+each workload task draws its own (``rng.uniform(0.6, 1.0)``), so the
+dynamic-power memo keeps unit-activity values only and its size depends
+on the V/F ladder, not on how many tasks a process has simulated.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Mapping
 
+from repro.platform import coretypes
 from repro.platform.coretypes import CoreType
 from repro.platform.technology import TechnologyNode
 
@@ -170,9 +174,10 @@ def dyn_cache_for(
     """The per-(node, model, type) dynamic-power memo dict.
 
     Hung off the node instance (like ``node._dyn_cache``) and keyed by
-    ``(vdd, f_mhz, activity)`` tuples; consumers may index it directly
-    after priming, exactly as the power meter does with the homogeneous
-    caches.
+    ``(vdd, f_mhz, activity)`` tuples, holding unit-activity entries
+    only (see :func:`cached_model_dynamic`); consumers may index it
+    directly after priming, exactly as the power meter does with the
+    homogeneous caches.
     """
     try:
         caches = node._model_dyn_caches
@@ -214,7 +219,15 @@ def cached_model_dynamic(
     f_mhz: float,
     activity: float = 1.0,
 ) -> float:
-    """Memoized :meth:`TechnologyModel.dynamic_power` (bit-identical)."""
+    """Memoized :meth:`TechnologyModel.dynamic_power` (bit-identical).
+
+    Only unit-activity values are stored.  Every workload task draws its
+    own activity, so a memo keyed by it would gain an entry per task and
+    never evict one; a non-unit activity is evaluated directly instead,
+    which returns the same float.
+    """
+    if activity != 1.0:
+        return model.dynamic_power(node, ctype, vdd, f_mhz, activity)
     cache = dyn_cache_for(node, model, ctype)
     key = (vdd, f_mhz, activity)
     try:
@@ -273,6 +286,7 @@ def register_tech_model(
     if model.name in TECHNOLOGY_MODELS and not overwrite:
         raise ValueError(f"technology model {model.name!r} already registered")
     TECHNOLOGY_MODELS[model.name] = model
+    coretypes._note_registration()
     return model
 
 

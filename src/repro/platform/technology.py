@@ -106,22 +106,30 @@ class TechnologyNode:
 # ----------------------------------------------------------------------
 # Memoized power evaluation (the simulation fast path)
 # ----------------------------------------------------------------------
-# A run evaluates the analytic power model millions of times but only ever
-# at a handful of distinct (node, V/F level, activity) points: the DVFS
-# ladder has ~8 levels and activities come from a small set of workload /
-# SBST profiles.  Caching the *exact* method results keeps every consumer
-# bit-identical to the analytic model while skipping the transcendental
-# math.  The memo dict hangs off each node instance (``object.__setattr__``
-# sidesteps the frozen dataclass) and is keyed by the remaining float
-# arguments, so lookups hash small tuples in C instead of running the
-# dataclass-generated ``TechnologyNode.__hash__`` per call the way an
-# ``lru_cache`` over all arguments would.
+# A run evaluates the analytic power model millions of times, mostly at a
+# handful of distinct (node, V/F level) points: the DVFS ladder has ~8
+# levels.  Activities are not a small set -- every workload task draws its
+# own (``rng.uniform(0.6, 1.0)``) -- so only unit-activity dynamic power is
+# memoized; keying on activity would grow the memo by one entry per task
+# for as long as the process lives.  Caching the *exact* method results
+# keeps every consumer bit-identical to the analytic model while skipping
+# the transcendental math.  The memo dict hangs off each node instance
+# (``object.__setattr__`` sidesteps the frozen dataclass) and is keyed by
+# the remaining float arguments, so lookups hash small tuples in C instead
+# of running the dataclass-generated ``TechnologyNode.__hash__`` per call
+# the way an ``lru_cache`` over all arguments would.
 
 
 def cached_dynamic_power(
     node: TechnologyNode, vdd: float, f_mhz: float, activity: float = 1.0
 ) -> float:
-    """Memoized :meth:`TechnologyNode.dynamic_power` (bit-identical)."""
+    """Memoized :meth:`TechnologyNode.dynamic_power` (bit-identical).
+
+    Memoizes unit activity only; any other activity is evaluated
+    directly (see the comment above).
+    """
+    if activity != 1.0:
+        return node.dynamic_power(vdd, f_mhz, activity)
     try:
         cache = node._dyn_cache
     except AttributeError:

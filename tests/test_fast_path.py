@@ -248,3 +248,197 @@ def test_run_many_rejects_negative_jobs():
 
     with pytest.raises(ValueError):
         run_many([], jobs=-1)
+
+
+# ----------------------------------------------------------------------
+# The shared worker pool
+# ----------------------------------------------------------------------
+def _tiny_configs(seeds, **overrides):
+    from repro.core.system import SystemConfig
+
+    return [
+        SystemConfig(
+            width=2, height=2, horizon_us=1_500.0, seed=seed, **overrides
+        )
+        for seed in seeds
+    ]
+
+
+def _digests(results):
+    from repro.obs.provenance import result_digest
+
+    return [result_digest(result) for result in results]
+
+
+def test_pooled_run_many_calls_reuse_one_pool():
+    from repro.experiments import parallel
+
+    parallel.run_many(_tiny_configs((1, 2)), jobs=2)
+    pool = parallel._POOL
+    workers = set(pool._processes)
+    again = parallel.run_many(_tiny_configs((3, 4, 5)), jobs=2)
+    assert parallel._POOL is pool
+    assert set(pool._processes) == workers
+    assert _digests(again) == _digests(
+        parallel.run_many(_tiny_configs((3, 4, 5)))
+    )
+
+
+def test_pooled_run_many_sees_core_type_registered_after_a_pooled_call():
+    from repro.experiments import parallel
+    from repro.platform.coretypes import (
+        CORE_TYPES,
+        CoreType,
+        register_core_type,
+    )
+
+    parallel.run_many(_tiny_configs((1, 2)), jobs=2)
+    register_core_type(
+        CoreType(name="late", description="registered late", dyn_scale=1.3)
+    )
+    try:
+        configs = _tiny_configs((1, 2), type_grid=("late",))
+        pooled = parallel.run_many(configs, jobs=2)
+        assert _digests(pooled) == _digests(parallel.run_many(configs))
+    finally:
+        del CORE_TYPES["late"]
+
+
+def test_pooled_run_many_recovers_after_a_worker_is_killed():
+    import os
+    import signal
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.experiments import parallel
+
+    configs = _tiny_configs((1, 2, 3))
+    parallel.run_many(configs, jobs=2)
+    victim = next(iter(parallel._POOL._processes.values()))
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(10)
+    with pytest.raises(BrokenProcessPool):
+        parallel.run_many(configs, jobs=2)
+    assert parallel._POOL is None
+    pooled = parallel.run_many(configs, jobs=2)
+    assert _digests(pooled) == _digests(parallel.run_many(configs))
+
+
+def _worker_observability():
+    from repro import obs
+    from repro.telemetry import active_telemetry
+
+    return (
+        obs.active_journal().enabled,
+        obs.active_profiler().enabled,
+        active_telemetry().enabled,
+    )
+
+
+def test_pool_workers_start_with_observability_off():
+    # Workers forked while the parent journals, profiles and collects
+    # telemetry must not keep doing so for the calls they serve later.
+    from repro import obs
+    from repro.experiments import parallel
+    from repro.obs import Journal, PhaseProfiler
+    from repro.telemetry import MetricsRegistry, configure_telemetry
+
+    parallel._shutdown_pool()
+    obs.configure(Journal(), PhaseProfiler())
+    configure_telemetry(MetricsRegistry(enabled=True))
+    try:
+        parallel.run_many(_tiny_configs((1, 2)), jobs=2)
+    finally:
+        obs.configure()
+        configure_telemetry()
+    probe = parallel._POOL.submit(_worker_observability)
+    assert probe.result(timeout=60) == (False, False, False)
+
+
+def _nested_pooled_digests():
+    from repro.experiments import parallel
+
+    try:
+        return _digests(parallel.run_many(_tiny_configs((1, 2)), jobs=2))
+    finally:
+        parallel._shutdown_pool()
+
+
+def test_forked_pool_worker_can_run_its_own_pooled_sweep():
+    # A worker is forked while its parent holds the pool lock; it must
+    # build a pool of its own instead of blocking on the inherited lock.
+    from repro.experiments import parallel
+
+    parallel.run_many(_tiny_configs((1, 2)), jobs=2)
+    nested = parallel._POOL.submit(_nested_pooled_digests)
+    assert nested.result(timeout=60) == _digests(
+        parallel.run_many(_tiny_configs((1, 2)))
+    )
+
+
+def test_threads_sharing_the_pool_across_rebuilds_get_serial_results():
+    # More threads than cores, each switching ``jobs`` so the shared pool
+    # is rebuilt while other threads still have work in flight on it.
+    import sys
+    import threading
+
+    from repro.experiments import parallel
+
+    configs = _tiny_configs((1, 2, 3))
+    expected = _digests(parallel.run_many(configs))
+    outcomes = []
+    errors = []
+
+    def caller(offset):
+        try:
+            for k in range(3):
+                jobs = 2 + (offset + k) % 2
+                outcomes.append(_digests(parallel.run_many(configs, jobs=jobs)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=caller, args=(i,)) for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert outcomes == [expected] * 12
+
+
+# ----------------------------------------------------------------------
+# Per-process memos stay bounded in a long-lived worker
+# ----------------------------------------------------------------------
+def test_arrival_trace_memo_stays_within_its_cap():
+    from repro.core import system
+
+    cap = system._ARRIVAL_TRACES_MAX
+    for config in _tiny_configs(range(1000, 1000 + 3 * cap)):
+        system.run_system(config)
+    assert len(system._ARRIVAL_TRACES) <= cap
+
+
+def test_dynamic_power_memo_size_does_not_grow_with_tasks():
+    from repro.core.system import run_system
+    from repro.platform.technology import get_node
+
+    node = get_node("16nm")
+
+    def memo_entries():
+        caches = getattr(node, "_model_dyn_caches", {})
+        return sum(len(cache) for cache in caches.values())
+
+    n = 6
+    for config in _tiny_configs(range(2000, 2000 + n)):
+        run_system(config)
+    after_n = memo_entries()
+    for config in _tiny_configs(range(3000, 3000 + 2 * n)):
+        run_system(config)
+    assert memo_entries() == after_n
